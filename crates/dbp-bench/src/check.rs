@@ -465,19 +465,32 @@ pub fn run_check(
     tolerance_pct: f64,
     inject_pct: f64,
 ) -> Result<CheckReport, String> {
+    check_pcts(tolerance_pct, inject_pct)?;
+    let fresh = measure_cells(baseline)?;
+    judge(baseline, &fresh, tolerance_pct, inject_pct)
+}
+
+fn check_pcts(tolerance_pct: f64, inject_pct: f64) -> Result<(), String> {
     if !(0.0..100.0).contains(&tolerance_pct) {
         return Err(format!("tolerance {tolerance_pct}% out of range [0, 100)"));
     }
     if !(0.0..100.0).contains(&inject_pct) {
         return Err(format!("inject {inject_pct}% out of range [0, 100)"));
     }
+    Ok(())
+}
+
+/// Re-measures every baseline cell's throughput, in file order; `None`
+/// for cells a degraded baseline cannot gate (see
+/// [`Baseline::cell_degraded`]), which are not run at all.
+pub fn measure_cells(baseline: &Baseline) -> Result<Vec<Option<f64>>, String> {
     // Cells may stream different workload recipes (`default` vs `deep`);
     // build each instance once and share it across its cells.
     let is_vector = baseline.schema == "dbp-bench/vector-v1";
     let mut instances: std::collections::HashMap<&str, Instance> = std::collections::HashMap::new();
     let mut vec_instances: std::collections::HashMap<&str, VecInstance> =
         std::collections::HashMap::new();
-    let mut rows = Vec::new();
+    let mut fresh = Vec::with_capacity(baseline.cells.len());
     for cell in &baseline.cells {
         if cell.items_per_sec <= 0.0 {
             return Err(format!(
@@ -486,21 +499,11 @@ pub fn run_check(
             ));
         }
         if baseline.cell_degraded(cell) {
-            // A multi-worker timing from a degraded recording is not a
-            // baseline at all; skip it (the caller warns) rather than
-            // gate against time-sliced numbers.
-            rows.push(CheckRow {
-                label: cell.label(),
-                baseline_ips: cell.items_per_sec,
-                fresh_ips: 0.0,
-                delta_pct: 0.0,
-                regressed: false,
-                skipped: true,
-            });
+            fresh.push(None);
             continue;
         }
         let key = cell.workload_key();
-        let fresh = if is_vector {
+        let ips = if is_vector {
             if !vec_instances.contains_key(key) {
                 let inst = vector_baseline_instance(&baseline.mode, key)?;
                 vec_instances.insert(key, inst);
@@ -513,17 +516,59 @@ pub fn run_check(
             }
             run_cell(&baseline.schema, &instances[key], cell)?
         };
-        let fresh_ips = fresh * (1.0 - inject_pct / 100.0);
-        let delta_pct = (fresh_ips - cell.items_per_sec) / cell.items_per_sec * 100.0;
-        rows.push(CheckRow {
-            label: cell.label(),
-            baseline_ips: cell.items_per_sec,
-            fresh_ips,
-            delta_pct,
-            regressed: delta_pct < -tolerance_pct,
-            skipped: false,
-        });
+        fresh.push(Some(ips));
     }
+    Ok(fresh)
+}
+
+/// The gate's verdict on fresh throughputs (one per baseline cell, as
+/// [`measure_cells`] returns them): each is slowed by `inject_pct` and
+/// flagged if it falls more than `tolerance_pct` below its baseline.
+/// Pure arithmetic, so the verdict for given numbers never varies.
+pub fn judge(
+    baseline: &Baseline,
+    fresh: &[Option<f64>],
+    tolerance_pct: f64,
+    inject_pct: f64,
+) -> Result<CheckReport, String> {
+    check_pcts(tolerance_pct, inject_pct)?;
+    if fresh.len() != baseline.cells.len() {
+        return Err(format!(
+            "{} fresh measurements for {} baseline cells",
+            fresh.len(),
+            baseline.cells.len()
+        ));
+    }
+    let rows = baseline
+        .cells
+        .iter()
+        .zip(fresh)
+        .map(|(cell, fresh)| match fresh {
+            // A multi-worker timing from a degraded recording is not a
+            // baseline at all; skip it (the caller warns) rather than
+            // gate against time-sliced numbers.
+            None => CheckRow {
+                label: cell.label(),
+                baseline_ips: cell.items_per_sec,
+                fresh_ips: 0.0,
+                delta_pct: 0.0,
+                regressed: false,
+                skipped: true,
+            },
+            Some(fresh) => {
+                let fresh_ips = fresh * (1.0 - inject_pct / 100.0);
+                let delta_pct = (fresh_ips - cell.items_per_sec) / cell.items_per_sec * 100.0;
+                CheckRow {
+                    label: cell.label(),
+                    baseline_ips: cell.items_per_sec,
+                    fresh_ips,
+                    delta_pct,
+                    regressed: delta_pct < -tolerance_pct,
+                    skipped: false,
+                }
+            }
+        })
+        .collect();
     Ok(CheckReport {
         schema: baseline.schema.clone(),
         mode: baseline.mode.clone(),
@@ -685,10 +730,11 @@ mod tests {
 
     #[test]
     fn injection_trips_a_self_comparison() {
-        // Measure once, write the measurement as the baseline, then
-        // re-check with a 50% injected slowdown at 20% tolerance: the
-        // gate must trip even though the machine did not change.
-        let inst = baseline_instance("dbp-bench/engine-v1", "short", "default").unwrap();
+        // Measure once, then judge that very measurement against itself
+        // as the baseline: the comparison is exactly 0% without injection
+        // and exactly -50% with a 50% injected slowdown, so the verdict
+        // cannot depend on how fast the machine happens to be between
+        // two timed runs.
         let cell = BaselineCell {
             algo: "first-fit".into(),
             shards: 1,
@@ -696,25 +742,29 @@ mod tests {
             telemetry: None,
             workload: None,
             scan: None,
-            items_per_sec: 0.0,
+            items_per_sec: 1.0,
         };
-        let measured = run_cell("dbp-bench/engine-v1", &inst, &cell).unwrap();
-        let baseline = Baseline {
+        let mut baseline = Baseline {
             schema: "dbp-bench/engine-v1".into(),
             mode: "short".into(),
             host_parallelism: 1,
             degraded_parallelism: false,
-            cells: vec![BaselineCell {
-                items_per_sec: measured,
-                ..cell
-            }],
+            cells: vec![cell],
         };
-        let report = run_check(&baseline, 20.0, 50.0).unwrap();
+        let fresh = measure_cells(&baseline).unwrap();
+        let measured = fresh[0].expect("single-worker cell is measured");
+        assert!(measured > 0.0);
+        baseline.cells[0].items_per_sec = measured;
+        let report = judge(&baseline, &fresh, 20.0, 50.0).unwrap();
         assert!(
             !report.ok(),
             "a 50% injected slowdown must trip 20% tolerance"
         );
         assert_eq!(report.injected_pct, 50.0);
+        assert_eq!(report.rows[0].delta_pct, -50.0);
+        let clean = judge(&baseline, &fresh, 20.0, 0.0).unwrap();
+        assert!(clean.ok(), "a self-comparison passes without injection");
+        assert!(judge(&baseline, &[], 20.0, 0.0).is_err());
     }
 
     /// Regression: the gate used to treat `degraded_parallelism`-tagged

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
+pub mod dedupe;
 pub mod error;
 pub mod events;
 pub mod instance;
@@ -68,6 +69,7 @@ pub mod stream;
 pub mod vecbins;
 pub mod vecstream;
 
+pub use dedupe::IdDedupe;
 pub use error::DbpError;
 pub use instance::Instance;
 pub use interval::{Interval, Time};

@@ -36,14 +36,16 @@
 //! ## The id-watermark contract
 //!
 //! Duplicate item-id rejection does not keep every id ever seen. The
-//! session maintains a *watermark* `w` such that every id `< w` has been
-//! seen, plus the exact set of seen ids `≥ w`. Feed ids in roughly
-//! increasing order (the natural choice for generated streams) and that
-//! overflow set stays tiny — O(1) memory for a monotone id stream — while
-//! duplicate detection stays exact for *any* id order. The current values
-//! are observable via [`StreamingSession::id_watermark`] and
-//! [`StreamingSession::dedupe_backlog`].
+//! session holds an [`IdDedupe`]: a *watermark* `w` such that every id
+//! `< w` has been seen, plus the exact set of seen ids `≥ w` as a bitmap
+//! window above `w` (and a sparse set for ids more than
+//! [`crate::dedupe::WINDOW_BITS`] ahead). A monotone id stream holds
+//! nothing above the watermark; any other order costs one bit per id of
+//! spread, while duplicate detection stays exact for *any* id order. The
+//! current values are observable via [`StreamingSession::id_watermark`]
+//! and [`StreamingSession::dedupe_backlog`].
 
+use crate::dedupe::IdDedupe;
 use crate::error::DbpError;
 use crate::interval::Time;
 use crate::item::{Item, ItemId};
@@ -142,10 +144,8 @@ pub struct StreamingSession<'p, O: PackObserver = NoopObserver> {
     departures: BinaryHeap<Reverse<(Time, ItemId)>>,
     next_bin: u32,
     last_arrival: Option<Time>,
-    /// Every id `< watermark` has been seen.
-    watermark: u32,
-    /// The exact set of seen ids `≥ watermark`.
-    above: HashSet<u32>,
+    /// Every id seen so far.
+    seen: IdDedupe,
     /// Raw ids displaced by [`StreamingSession::fail_bin`] whose stale
     /// departure-heap entries must be skipped when they surface.
     cancelled: HashSet<u32>,
@@ -184,8 +184,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
             departures: BinaryHeap::new(),
             next_bin: 0,
             last_arrival: None,
-            watermark: 0,
-            above: HashSet::new(),
+            seen: IdDedupe::new(),
             cancelled: HashSet::new(),
         }
     }
@@ -215,8 +214,6 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
             .map(|Reverse(p)| *p)
             .collect();
         departures.sort_unstable();
-        let mut above: Vec<u32> = self.above.iter().copied().collect();
-        above.sort_unstable();
         SessionSnapshot {
             version: SNAPSHOT_VERSION,
             packer: self.packer.name(),
@@ -226,8 +223,8 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
             departures,
             next_bin: self.next_bin,
             last_arrival: self.last_arrival,
-            watermark: self.watermark,
-            above,
+            watermark: self.seen.watermark(),
+            above: self.seen.above(),
         }
     }
 
@@ -333,8 +330,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
             departures,
             next_bin: snap.next_bin,
             last_arrival: snap.last_arrival,
-            watermark: snap.watermark,
-            above: snap.above.iter().copied().collect(),
+            seen: IdDedupe::from_parts(snap.watermark, &snap.above),
             cancelled: HashSet::new(),
         })
     }
@@ -423,18 +419,18 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
     /// All item ids below this value have been seen (watermark dedupe
     /// contract; see the module docs).
     pub fn id_watermark(&self) -> u32 {
-        self.watermark
+        self.seen.watermark()
     }
 
     /// Number of seen ids at or above the watermark still held for exact
     /// duplicate detection. Stays O(1) for monotone id streams.
     pub fn dedupe_backlog(&self) -> usize {
-        self.above.len()
+        self.seen.backlog()
     }
 
     /// A cheap estimate of the session's live working-state heap
     /// footprint: the open-bin slab plus the live-placement map, the
-    /// pending-departure heap, and the dedupe overflow set. Excludes the
+    /// pending-departure heap, and the id-dedupe state. Excludes the
     /// append-only bin history (`records`), which is run *output*, not
     /// working state. O(open bins); the engine benchmark samples this as
     /// its RSS proxy.
@@ -443,7 +439,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
         self.open.approx_bytes()
             + self.placement.capacity() * (size_of::<ItemId>() + size_of::<BinId>())
             + self.departures.capacity() * size_of::<Reverse<(Time, ItemId)>>()
-            + self.above.capacity() * size_of::<u32>()
+            + self.seen.approx_bytes()
             + self.cancelled.capacity() * size_of::<u32>()
     }
 
@@ -480,15 +476,8 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
 
     /// Commits an id into the dedupe state, rejecting duplicates.
     fn note_id(&mut self, raw_id: u32) -> Result<(), DbpError> {
-        if raw_id < self.watermark || !self.above.insert(raw_id) {
+        if !self.seen.insert(raw_id) {
             return Err(DbpError::DuplicateItemId { id: raw_id });
-        }
-        // Advance the watermark over contiguously-seen ids so monotone
-        // streams keep the overflow set empty. `u32::MAX` cannot be
-        // absorbed (the watermark would need to be MAX + 1), so it simply
-        // stays in the overflow set.
-        while self.watermark < u32::MAX && self.above.remove(&self.watermark) {
-            self.watermark += 1;
         }
         Ok(())
     }
@@ -601,7 +590,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
         let raw_id = item.id().0;
         // Duplicate check only — the id is committed after admission so a
         // shed item's id stays usable.
-        if raw_id < self.watermark || self.above.contains(&raw_id) {
+        if self.seen.contains(raw_id) {
             return Err(DbpError::DuplicateItemId { id: raw_id });
         }
         self.last_arrival = Some(now);
@@ -1025,9 +1014,9 @@ mod tests {
         // Regression for the pre-indexed engine, whose `seen` set and
         // unpruned `placement` map grew with stream *length*. Live state
         // must track the *concurrent* load: a 200k-item stream with at
-        // most 3 overlapping jobs keeps placement at ≤ 3 entries and the
-        // dedupe overflow set empty (monotone ids fold into the
-        // watermark), while records/usage still cover the full history.
+        // most 3 overlapping jobs keeps placement at ≤ 3 entries and
+        // nothing held above the dedupe watermark (monotone ids fold into
+        // it), while records/usage still cover the full history.
         const N: u32 = 200_000;
         let mut packer = FirstFit;
         let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
@@ -1048,8 +1037,8 @@ mod tests {
 
     #[test]
     fn out_of_order_ids_drain_into_watermark() {
-        // Ids arrive pairwise swapped (1,0,3,2,…): the overflow set holds
-        // at most the one id ahead of the watermark and drains as soon as
+        // Ids arrive pairwise swapped (1,0,3,2,…): the dedupe holds at
+        // most the one id ahead of the watermark and drains as soon as
         // the gap fills. Duplicate detection stays exact throughout.
         let mut packer = FirstFit;
         let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);

@@ -22,12 +22,20 @@
 //!   gracefully toward the linear scan on adversarial mixes, never
 //!   scanning more than the tree.
 //! * [`VecOpenBins::best_fit`] / [`VecOpenBins::worst_fit`] — ranked by
-//!   a caller-selected [`Scalarization`] of the level vector, walking a
-//!   level-ordered set from the fullest (best) or emptiest (worst) end
-//!   and returning the first entry feasible on all axes. Vector
-//!   feasibility cannot be range-queried on a scalar key, so these
-//!   inspect entries until one fits; the probe count reports exactly how
-//!   many.
+//!   a caller-selected [`Scalarization`] of the level vector. A scalar
+//!   key orders the bins but says nothing about per-axis feasibility, so
+//!   the level-ordered sequence is cut into small sorted **blocks** of at
+//!   most [`BLOCK`] entries. Each entry carries its bin's gap vector
+//!   inline, and each block carries the componentwise-max gap
+//!   **envelope** of its entries. A query walks the blocks from the
+//!   fullest (best) or emptiest (worst) end, skips every block whose
+//!   envelope fails the demand on some axis (no entry inside can fit),
+//!   and checks the entries of the first surviving blocks against their
+//!   inline gaps — never touching the bin payload — until one fits. The
+//!   probe count is envelope checks plus entries checked. On fleets where
+//!   the fuller bins are exhausted on some axis, whole blocks are
+//!   rejected by one comparison each, so a query costs about
+//!   `B / BLOCK + BLOCK` probes instead of a walk over every fuller bin.
 //!
 //! Tie-breaks replicate the linear foils bit for bit: Best Fit resolves
 //! equal scalarized levels to the **latest** opened (a linear
@@ -44,7 +52,7 @@ use crate::item::ItemId;
 use crate::packing::BinId;
 use crate::sizevec::{Scalarization, SizeVec, MAX_DIMS};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Sentinel for "no slot" in the intrusive lists.
@@ -171,7 +179,7 @@ struct TagList {
     next_seq: u64,
 }
 
-/// A level-ordered entry: `(scalarized level, per-tag seq, slot)`.
+/// A level-ordered key: `(scalarized level, per-tag seq, slot)`.
 /// Ascending order puts the emptiest bins first; `seq` is unique within
 /// a tag so the key is total.
 type LevelKey = (u64, u64, u32);
@@ -181,9 +189,9 @@ type LevelKey = (u64, u64, u32);
 struct FitIndex {
     /// Componentwise-max gap tournament tree (First Fit).
     seg: Option<VecGapTree>,
-    /// Level-ordered set under one scalarization (Best/Worst Fit);
-    /// rebuilt if a query asks for a different scalarization.
-    ordered: Option<(Scalarization, BTreeSet<LevelKey>)>,
+    /// Envelope-pruned level blocks under one scalarization (Best/Worst
+    /// Fit); rebuilt if a query asks for a different scalarization.
+    ordered: Option<LevelBlocks>,
 }
 
 /// Interior-mutable index state (queries take `&VecOpenBins`).
@@ -344,6 +352,226 @@ impl VecGapTree {
     }
 }
 
+/// Most entries one [`LevelBlocks`] block holds; a fuller block splits
+/// in half.
+pub const BLOCK: usize = 32;
+
+/// One bin in the level-ordered index, its gap vector kept inline so a
+/// query never dereferences the bin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LevelEntry {
+    key: LevelKey,
+    gap: [u64; MAX_DIMS],
+}
+
+/// A sorted run of `1..=BLOCK` entries plus the componentwise-max gap of
+/// its entries — a *necessary* feasibility test for the whole block.
+#[derive(Clone, Debug)]
+struct LevelBlock {
+    entries: Vec<LevelEntry>,
+    env: [u64; MAX_DIMS],
+}
+
+impl LevelBlock {
+    fn new(entries: Vec<LevelEntry>) -> LevelBlock {
+        let mut b = LevelBlock { entries, env: ZVEC };
+        b.reenvelope();
+        b
+    }
+
+    fn reenvelope(&mut self) {
+        self.env = self.entries.iter().fold(ZVEC, |m, e| cmax(m, e.gap));
+    }
+
+    fn first_key(&self) -> LevelKey {
+        self.entries[0].key
+    }
+
+    fn last_key(&self) -> LevelKey {
+        self.entries[self.entries.len() - 1].key
+    }
+}
+
+/// One tag's bins in ascending [`LevelKey`] order under one
+/// scalarization, cut into envelope-carrying blocks (Best/Worst Fit).
+///
+/// Invariants (checked by [`VecOpenBins::validate`]): every block holds
+/// `1..=BLOCK` entries in strictly ascending key order, each block's
+/// last key is below the next block's first, every envelope is the exact
+/// componentwise max of its entries' gaps, and two adjacent blocks
+/// together hold more than `BLOCK / 2` entries (so there are at most
+/// `4n / BLOCK + 1` blocks).
+#[derive(Clone, Debug)]
+struct LevelBlocks {
+    scal: Scalarization,
+    blocks: Vec<LevelBlock>,
+}
+
+impl LevelBlocks {
+    /// Builds from unsorted entries, half-filling each block so the
+    /// first inserts do not split.
+    fn build(scal: Scalarization, mut entries: Vec<LevelEntry>) -> LevelBlocks {
+        entries.sort_unstable_by_key(|e| e.key);
+        let blocks = entries
+            .chunks(BLOCK / 2)
+            .map(|c| LevelBlock::new(c.to_vec()))
+            .collect();
+        LevelBlocks { scal, blocks }
+    }
+
+    /// Inserts into the first block whose last key is not below the new
+    /// key, or the last block.
+    fn insert(&mut self, entry: LevelEntry) {
+        let Some(last) = self.blocks.len().checked_sub(1) else {
+            self.blocks.push(LevelBlock::new(vec![entry]));
+            return;
+        };
+        let i = self
+            .blocks
+            .partition_point(|b| b.last_key() < entry.key)
+            .min(last);
+        self.insert_into(i, entry);
+    }
+
+    /// Inserts into block `i`, which must be a valid home for the key.
+    fn insert_into(&mut self, i: usize, entry: LevelEntry) {
+        let b = &mut self.blocks[i];
+        let at = b.entries.partition_point(|e| e.key < entry.key);
+        b.entries.insert(at, entry);
+        b.env = cmax(b.env, entry.gap);
+        if b.entries.len() > BLOCK {
+            let tail = b.entries.split_off(b.entries.len() / 2);
+            b.reenvelope();
+            self.blocks.insert(i + 1, LevelBlock::new(tail));
+        }
+    }
+
+    /// The `(block, entry)` position of `key`, if it is indexed.
+    fn locate(&self, key: &LevelKey) -> Option<(usize, usize)> {
+        let i = self.blocks.partition_point(|b| b.last_key() < *key);
+        let at = self
+            .blocks
+            .get(i)?
+            .entries
+            .binary_search_by(|e| e.key.cmp(key))
+            .ok()?;
+        Some((i, at))
+    }
+
+    /// Repairs block `i` after an entry left it: drops it if empty,
+    /// otherwise recomputes its envelope and merges it into a neighbour
+    /// when the two together fit in half a block.
+    fn settle(&mut self, i: usize) {
+        if self.blocks[i].entries.is_empty() {
+            self.blocks.remove(i);
+            return;
+        }
+        self.blocks[i].reenvelope();
+        let len = |j: usize| self.blocks[j].entries.len();
+        let pair = if i + 1 < self.blocks.len() && len(i) + len(i + 1) <= BLOCK / 2 {
+            Some(i)
+        } else if i > 0 && len(i - 1) + len(i) <= BLOCK / 2 {
+            Some(i - 1)
+        } else {
+            None
+        };
+        if let Some(j) = pair {
+            let next = self.blocks.remove(j + 1);
+            let b = &mut self.blocks[j];
+            b.entries.extend_from_slice(&next.entries);
+            b.env = cmax(b.env, next.env);
+        }
+    }
+
+    fn remove(&mut self, key: &LevelKey) {
+        if let Some((i, at)) = self.locate(key) {
+            self.blocks[i].entries.remove(at);
+            self.settle(i);
+        }
+    }
+
+    /// Moves an entry to a new key and gap. When the new key still sorts
+    /// inside the old block the entry slides to its new position in place
+    /// and the envelope is recomputed only if the old gap held it up;
+    /// otherwise remove + insert.
+    fn update(&mut self, old: &LevelKey, entry: LevelEntry) {
+        let Some((i, at)) = self.locate(old) else {
+            return self.insert(entry);
+        };
+        let above_prev = i == 0 || self.blocks[i - 1].last_key() < entry.key;
+        let below_next = self
+            .blocks
+            .get(i + 1)
+            .is_none_or(|b| entry.key < b.first_key());
+        if !(above_prev && below_next) {
+            self.blocks[i].entries.remove(at);
+            self.settle(i);
+            return self.insert(entry);
+        }
+        let b = &mut self.blocks[i];
+        let old_gap = b.entries[at].gap;
+        let to = b.entries.partition_point(|e| e.key < entry.key);
+        if to > at {
+            b.entries.copy_within(at + 1..to, at);
+            b.entries[to - 1] = entry;
+        } else {
+            b.entries.copy_within(to..at, to + 1);
+            b.entries[to] = entry;
+        }
+        if (0..MAX_DIMS).any(|d| old_gap[d] == b.env[d] && entry.gap[d] < old_gap[d]) {
+            b.reenvelope();
+        } else {
+            b.env = cmax(b.env, entry.gap);
+        }
+    }
+
+    /// The highest-keyed entry whose gap covers `size` (Best Fit), and
+    /// the probes spent: one per envelope checked plus one per entry.
+    fn best(&self, size: &[u64; MAX_DIMS]) -> (Option<u32>, usize) {
+        first_covering(self.blocks.iter().rev(), size, |b| b.entries.iter().rev())
+    }
+
+    /// The lowest-keyed entry whose gap covers `size` (Worst Fit).
+    fn worst(&self, size: &[u64; MAX_DIMS]) -> (Option<u32>, usize) {
+        first_covering(self.blocks.iter(), size, |b| b.entries.iter())
+    }
+
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.blocks.capacity() * size_of::<LevelBlock>()
+            + self
+                .blocks
+                .iter()
+                .map(|b| b.entries.capacity() * size_of::<LevelEntry>())
+                .sum::<usize>()
+    }
+}
+
+/// The slot of the first entry whose gap covers `size`, walking `blocks`
+/// in the given order and each surviving block's entries in the order
+/// `entries` yields them; blocks whose envelope fails `size` are skipped
+/// unopened. Also returns the probes spent.
+fn first_covering<'a, E: Iterator<Item = &'a LevelEntry>>(
+    blocks: impl Iterator<Item = &'a LevelBlock>,
+    size: &[u64; MAX_DIMS],
+    entries: impl Fn(&'a LevelBlock) -> E,
+) -> (Option<u32>, usize) {
+    let mut probes = 0;
+    for b in blocks {
+        probes += 1;
+        if !covers(&b.env, size) {
+            continue;
+        }
+        for e in entries(b) {
+            probes += 1;
+            if covers(&e.gap, size) {
+                return (Some(e.key.2), probes);
+            }
+        }
+    }
+    (None, probes)
+}
+
 /// The set of currently open vector bins, ordered by opening time.
 ///
 /// Vector packers receive `&VecOpenBins` in
@@ -490,9 +718,10 @@ impl VecOpenBins {
     /// Indexed vector Best Fit within `tag`: among bins feasible on all
     /// axes, the one with the **highest** scalarized level, ties to the
     /// latest opened — exactly what a linear scan through
-    /// `max_by_key(scalarized level)` keeps. Walks the level-ordered set
-    /// from the fullest end until an entry fits; the probe count is the
-    /// number of entries inspected.
+    /// `max_by_key(scalarized level)` keeps. Walks the level blocks from
+    /// the fullest end, skipping blocks whose gap envelope cannot hold
+    /// `size`, until an entry fits; the probe count is envelopes plus
+    /// entries checked.
     pub fn best_fit(
         &self,
         tag: u64,
@@ -504,21 +733,14 @@ impl VecOpenBins {
             "fit queries require a valid demand"
         );
         let mut st = self.fit.borrow_mut();
-        let set = self.ordered_set(&mut st, tag, scal);
-        let mut probes = 0;
-        for &(_, _, slot) in set.iter().rev() {
-            probes += 1;
-            if self.bin_at(slot).fits(size) {
-                return (Some(self.bin_at(slot).id()), probes);
-            }
-        }
-        (None, probes)
+        let (slot, probes) = self.level_blocks(&mut st, tag, scal).best(&size.raw());
+        (slot.map(|s| self.bin_at(s).id()), probes)
     }
 
     /// Indexed vector Worst Fit within `tag`: among bins feasible on all
     /// axes, the one with the **lowest** scalarized level, ties to the
     /// earliest opened — exactly what a linear `min_by_key` keeps. Walks
-    /// the level-ordered set from the emptiest end until an entry fits.
+    /// the level blocks from the emptiest end until an entry fits.
     pub fn worst_fit(
         &self,
         tag: u64,
@@ -530,38 +752,36 @@ impl VecOpenBins {
             "fit queries require a valid demand"
         );
         let mut st = self.fit.borrow_mut();
-        let set = self.ordered_set(&mut st, tag, scal);
-        let mut probes = 0;
-        for &(_, _, slot) in set.iter() {
-            probes += 1;
-            if self.bin_at(slot).fits(size) {
-                return (Some(self.bin_at(slot).id()), probes);
-            }
-        }
-        (None, probes)
+        let (slot, probes) = self.level_blocks(&mut st, tag, scal).worst(&size.raw());
+        (slot.map(|s| self.bin_at(s).id()), probes)
     }
 
-    /// The level-ordered set of `tag` under `scal`, (re)built on first
-    /// use or on a scalarization switch.
-    fn ordered_set<'a>(
+    /// The index entry of the bin in `slot` under `scal`.
+    fn level_entry(&self, slot: u32, scal: Scalarization) -> LevelEntry {
+        let b = self.bin_at(slot);
+        LevelEntry {
+            key: (scal.key(&b.level()), self.links[slot as usize].seq, slot),
+            gap: b.gap().raw(),
+        }
+    }
+
+    /// The level blocks of `tag` under `scal`, (re)built on first use or
+    /// on a scalarization switch.
+    fn level_blocks<'a>(
         &self,
         st: &'a mut FitState,
         tag: u64,
         scal: Scalarization,
-    ) -> &'a BTreeSet<LevelKey> {
+    ) -> &'a LevelBlocks {
         let entry = st.by_tag.entry(tag).or_default();
-        if entry.ordered.as_ref().map(|(s, _)| *s) != Some(scal) {
-            entry.ordered = Some((
-                scal,
-                self.tag_slots(tag)
-                    .map(|s| {
-                        let b = self.bin_at(s);
-                        (scal.key(&b.level()), self.links[s as usize].seq, s)
-                    })
-                    .collect(),
-            ));
+        if entry.ordered.as_ref().map(|o| o.scal) != Some(scal) {
+            let entries = self
+                .tag_slots(tag)
+                .map(|s| self.level_entry(s, scal))
+                .collect();
+            entry.ordered = Some(LevelBlocks::build(scal, entries));
         }
-        &entry.ordered.as_ref().expect("just built").1
+        entry.ordered.as_ref().expect("just built")
     }
 
     // ------------------------------------------------------------------
@@ -629,9 +849,15 @@ impl VecOpenBins {
         if let Some(tree) = entry.seg.as_mut() {
             tree.set(pos[slot as usize], new_gap);
         }
-        if let Some((scal, set)) = entry.ordered.as_mut() {
-            set.remove(&(scal.key(&old_level), seq, slot));
-            set.insert((scal.key(&new_level), seq, slot));
+        if let Some(blocks) = entry.ordered.as_mut() {
+            let scal = blocks.scal;
+            blocks.update(
+                &(scal.key(&old_level), seq, slot),
+                LevelEntry {
+                    key: (scal.key(&new_level), seq, slot),
+                    gap: new_gap,
+                },
+            );
         }
     }
 
@@ -722,8 +948,11 @@ impl VecOpenBins {
             let p = tree.append(slot, gap, |sl, pp| pos[sl as usize] = pp);
             pos[slot as usize] = p;
         }
-        if let Some((scal, set)) = entry.ordered.as_mut() {
-            set.insert((scal.key(&level), seq, slot));
+        if let Some(blocks) = entry.ordered.as_mut() {
+            blocks.insert(LevelEntry {
+                key: (blocks.scal.key(&level), seq, slot),
+                gap,
+            });
         }
     }
 
@@ -787,8 +1016,8 @@ impl VecOpenBins {
                 tree.rebuild(0, |sl, pp| pos[sl as usize] = pp);
             }
         }
-        if let Some((scal, set)) = entry.ordered.as_mut() {
-            set.remove(&(scal.key(&level), seq, slot));
+        if let Some(blocks) = entry.ordered.as_mut() {
+            blocks.remove(&(blocks.scal.key(&level), seq, slot));
         }
     }
 
@@ -804,7 +1033,7 @@ impl VecOpenBins {
                     e.seg.as_ref().map(VecGapTree::approx_bytes).unwrap_or(0)
                         + e.ordered
                             .as_ref()
-                            .map(|(_, s)| s.len() * size_of::<LevelKey>())
+                            .map(LevelBlocks::approx_bytes)
                             .unwrap_or(0)
                 })
                 .sum::<usize>();
@@ -977,16 +1206,35 @@ impl VecOpenBins {
                     }
                 }
             }
-            if let Some((scal, set)) = entry.ordered.as_ref() {
-                let expect: BTreeSet<LevelKey> = slots
+            if let Some(lb) = entry.ordered.as_ref() {
+                let mut expect: Vec<LevelEntry> = slots
                     .iter()
-                    .map(|&s| {
-                        let b = self.bin_at(s);
-                        (scal.key(&b.level()), self.links[s as usize].seq, s)
-                    })
+                    .map(|&s| self.level_entry(s, lb.scal))
                     .collect();
-                if *set != expect {
-                    return err(format!("tag {tag} level-ordered set is stale"));
+                expect.sort_unstable_by_key(|e| e.key);
+                let mut held = Vec::with_capacity(expect.len());
+                for (i, b) in lb.blocks.iter().enumerate() {
+                    if b.entries.is_empty() || b.entries.len() > BLOCK {
+                        return err(format!(
+                            "tag {tag} level block {i} holds {} entries",
+                            b.entries.len()
+                        ));
+                    }
+                    if b.env != b.entries.iter().fold(ZVEC, |m, e| cmax(m, e.gap)) {
+                        return err(format!("tag {tag} level block {i} envelope is stale"));
+                    }
+                    if let Some(next) = lb.blocks.get(i + 1) {
+                        if b.entries.len() + next.entries.len() <= BLOCK / 2 {
+                            return err(format!("tag {tag} level blocks {i}, {} underfull", i + 1));
+                        }
+                    }
+                    held.extend_from_slice(&b.entries);
+                }
+                if held.windows(2).any(|w| w[0].key >= w[1].key) {
+                    return err(format!("tag {tag} level blocks break key order"));
+                }
+                if held != expect {
+                    return err(format!("tag {tag} level blocks are stale"));
                 }
             }
         }
@@ -1219,7 +1467,10 @@ mod tests {
         let s = sv(&[0.2, 0.2]);
         let (hit, probes) = open.best_fit(0, &s, Scalarization::Sum);
         assert_eq!(hit, Some(BinId(1)));
-        assert_eq!(probes, 2, "walked past the infeasible fuller bin");
+        // One envelope check for the single block, then both entries: the
+        // envelope covers the demand (bin 1's gap does), so the walk
+        // checks the infeasible fuller bin before the fitting one.
+        assert_eq!(probes, 3, "walked past the infeasible fuller bin");
         assert_eq!(hit, linear_best(&open, 0, &s, Scalarization::Sum));
         open.validate().unwrap();
     }
@@ -1330,6 +1581,56 @@ mod tests {
         // One root-to-leaf pruned path: every full subtree is rejected at
         // its envelope, so probes stay O(log B) here.
         assert!(probes <= 40, "{probes} probes for 1001 bins");
+        open.validate().unwrap();
+    }
+
+    #[test]
+    fn level_blocks_bound_best_and_worst_fit_probes_on_deep_fleets() {
+        // 1000 bins exhausted on axis 1 (and spread over every level on
+        // axis 0) plus one roomy bin at the bottom of the level order:
+        // every block but the roomy bin's is rejected by its envelope.
+        let mut open = VecOpenBins::new();
+        for i in 0..1000u32 {
+            let a0 = 0.3 + 0.6 * f64::from(i) / 1000.0;
+            open.insert(bin_with(i, 0, &[a0, 0.99]));
+        }
+        open.insert(bin_with(5000, 0, &[0.1, 0.1]));
+        let need = sv(&[0.5, 0.5]);
+        for scal in [Scalarization::Sum, Scalarization::MaxAxis] {
+            let (hit, probes) = open.best_fit(0, &need, scal);
+            assert_eq!(hit, Some(BinId(5000)));
+            assert_eq!(hit, linear_best(&open, 0, &need, scal));
+            let blocks = {
+                let fit = open.fit.borrow();
+                let lb = fit.by_tag[&0].ordered.as_ref().expect("built");
+                lb.blocks.len()
+            };
+            // Built half full: ceil(1001 / (BLOCK / 2)) blocks.
+            assert_eq!(blocks, 1001usize.div_ceil(BLOCK / 2));
+            // Every envelope once, then at most one block of entries.
+            assert!(probes <= blocks + BLOCK, "{scal:?}: {probes} probes");
+            let (hit, probes) = open.worst_fit(0, &need, scal);
+            assert_eq!(hit, Some(BinId(5000)));
+            // The roomy bin is the emptiest: first envelope, first entry.
+            assert_eq!(probes, 2, "{scal:?}");
+        }
+        // Incremental maintenance keeps the bound: fill the roomy bin
+        // past the demand and open another below the exhausted ones.
+        open.push_to(
+            BinId(5000),
+            VecActiveItem {
+                id: ItemId(9000),
+                size: sv(&[0.6, 0.6]),
+                departure: None,
+            },
+            sv(&[0.6, 0.6]),
+        )
+        .unwrap()
+        .unwrap();
+        open.insert(bin_with(5001, 0, &[0.2, 0.2]));
+        let (hit, probes) = open.best_fit(0, &need, Scalarization::Sum);
+        assert_eq!(hit, Some(BinId(5001)));
+        assert!(probes <= 1002usize.div_ceil(BLOCK / 2) + BLOCK, "{probes}");
         open.validate().unwrap();
     }
 

@@ -29,6 +29,7 @@
 //! writer serializes. [`VecNoopObserver`] compiles every emission site
 //! away.
 
+use crate::dedupe::IdDedupe;
 use crate::error::DbpError;
 use crate::interval::Time;
 use crate::item::ItemId;
@@ -37,7 +38,7 @@ use crate::packing::{BinId, Packing};
 use crate::sizevec::{SizeVec, VecInstance, VecItem};
 use crate::vecbins::{VecActiveItem, VecOpenBin, VecOpenBins};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Whether departure times are visible to the packer.
 ///
@@ -210,10 +211,8 @@ pub struct VecStreamingSession<'p, O: VecPackObserver = VecNoopObserver> {
     departures: BinaryHeap<Reverse<(Time, ItemId)>>,
     next_bin: u32,
     last_arrival: Option<Time>,
-    /// Every id `< watermark` has been seen.
-    watermark: u32,
-    /// The exact set of seen ids `≥ watermark`.
-    above: HashSet<u32>,
+    /// Every id seen so far.
+    seen: IdDedupe,
 }
 
 impl<'p> VecStreamingSession<'p, VecNoopObserver> {
@@ -243,8 +242,7 @@ impl<'p, O: VecPackObserver> VecStreamingSession<'p, O> {
             departures: BinaryHeap::new(),
             next_bin: 0,
             last_arrival: None,
-            watermark: 0,
-            above: HashSet::new(),
+            seen: IdDedupe::new(),
         }
     }
 
@@ -333,7 +331,19 @@ impl<'p, O: VecPackObserver> VecStreamingSession<'p, O> {
         self.open.approx_bytes()
             + self.placement.capacity() * (size_of::<ItemId>() + size_of::<BinId>())
             + self.departures.capacity() * size_of::<Reverse<(Time, ItemId)>>()
-            + self.above.capacity() * size_of::<u32>()
+            + self.seen.approx_bytes()
+    }
+
+    /// All item ids below this value have been seen (watermark dedupe
+    /// contract; see [`crate::StreamingSession`]).
+    pub fn id_watermark(&self) -> u32 {
+        self.seen.watermark()
+    }
+
+    /// Number of seen ids at or above the watermark still held for exact
+    /// duplicate detection. Zero for monotone id streams.
+    pub fn dedupe_backlog(&self) -> usize {
+        self.seen.backlog()
     }
 
     /// Advances simulated time to `t` without an arrival: departures up
@@ -365,11 +375,8 @@ impl<'p, O: VecPackObserver> VecStreamingSession<'p, O> {
     /// Commits an id into the dedupe state, rejecting duplicates
     /// (watermark scheme; see [`crate::StreamingSession`]).
     fn note_id(&mut self, raw_id: u32) -> Result<(), DbpError> {
-        if raw_id < self.watermark || !self.above.insert(raw_id) {
+        if !self.seen.insert(raw_id) {
             return Err(DbpError::DuplicateItemId { id: raw_id });
-        }
-        while self.watermark < u32::MAX && self.above.remove(&self.watermark) {
-            self.watermark += 1;
         }
         Ok(())
     }
@@ -656,6 +663,24 @@ mod tests {
         assert!(matches!(err, DbpError::BadDecision { .. }));
         let err = s.arrive(&VecItem::new(5, sv(&[0.5]), 11, 20)).unwrap_err();
         assert!(matches!(err, DbpError::DuplicateItemId { id: 5 }));
+    }
+
+    #[test]
+    fn booking_order_ids_drain_into_the_watermark() {
+        // Ids 1..=4 arrive ahead of id 0: they wait above the watermark
+        // and drain when 0 fills the gap, as in the scalar session.
+        let mut packer = VecFirstFit;
+        let mut s = VecStreamingSession::new(VecClairvoyance::Clairvoyant, &mut packer);
+        for id in [3, 1, 4, 2] {
+            s.arrive(&VecItem::new(id, sv(&[0.1, 0.1]), 0, 5)).unwrap();
+        }
+        assert_eq!((s.id_watermark(), s.dedupe_backlog()), (0, 4));
+        s.arrive(&VecItem::new(0, sv(&[0.1, 0.1]), 0, 5)).unwrap();
+        assert_eq!((s.id_watermark(), s.dedupe_backlog()), (5, 0));
+        let err = s
+            .arrive(&VecItem::new(2, sv(&[0.1, 0.1]), 1, 5))
+            .unwrap_err();
+        assert!(matches!(err, DbpError::DuplicateItemId { id: 2 }));
     }
 
     #[test]

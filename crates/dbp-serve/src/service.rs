@@ -7,8 +7,9 @@
 //! channel. A single coordinator lock serialises submissions, which
 //! keeps the global invariants trivial to state:
 //!
-//! - **Exactly-once ids.** A dense id watermark plus an overflow set
-//!   records every decided job — placed *or* shed, because a shed is a
+//! - **Exactly-once ids.** A dense id watermark plus a bitmap window
+//!   above it ([`IdDedupe`]) records every decided job — placed *or*
+//!   shed, because a shed is a
 //!   final admission-control decision. Clients resume after a crash by
 //!   reading the watermark from `status` and resubmitting from there.
 //! - **Global fleet cap.** The cap a shard sees on each placement is its
@@ -35,10 +36,10 @@ use crate::state::{
 use crate::wal::{self, DecisionFrame, FrameOutcome, FsyncPolicy, WalWriter};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::stream::{Admission, SessionSnapshot, StreamingSession};
-use dbp_core::{ClairvoyanceMode, DbpError, Item, Size, Time};
+use dbp_core::{ClairvoyanceMode, DbpError, IdDedupe, Item, Size, Time};
 use dbp_shard::ShardRouter;
 use dbp_telemetry::Histogram;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender, SyncSender};
@@ -235,10 +236,8 @@ struct Core {
     /// Open bins per shard, as of that shard's last placement reply.
     open_bins: Vec<usize>,
     last_arrival: Option<Time>,
-    /// Every id below this was decided (placed or shed).
-    watermark: u32,
-    /// Decided ids at or above the watermark.
-    above: HashSet<u32>,
+    /// Every decided (placed or shed) id.
+    decided: IdDedupe,
     placed: u64,
     shed: u64,
     rejected: u64,
@@ -262,18 +261,6 @@ struct Core {
 }
 
 impl Core {
-    fn is_decided(&self, id: u32) -> bool {
-        id < self.watermark || self.above.contains(&id)
-    }
-
-    /// Records a decided id and advances the dense watermark.
-    fn note_id(&mut self, id: u32) {
-        self.above.insert(id);
-        while self.above.remove(&self.watermark) {
-            self.watermark += 1;
-        }
-    }
-
     fn tenant_counters(&self) -> Vec<TenantCounters> {
         self.tenants
             .iter()
@@ -381,8 +368,7 @@ impl Service {
                 open_bins: ck.sessions.iter().map(|s| s.open_bins.len()).collect(),
                 engines,
                 last_arrival: ck.last_arrival,
-                watermark: ck.watermark,
-                above: ck.above.iter().copied().collect(),
+                decided: IdDedupe::from_parts(ck.watermark, &ck.above),
                 placed: ck.placed,
                 shed: ck.shed,
                 rejected: ck.rejected,
@@ -413,8 +399,7 @@ impl Service {
                 open_bins: vec![0; cfg.shards],
                 engines,
                 last_arrival: None,
-                watermark: 0,
-                above: HashSet::new(),
+                decided: IdDedupe::new(),
                 placed: 0,
                 shed: 0,
                 rejected: 0,
@@ -564,7 +549,7 @@ impl Service {
                 Response::Status(StatusBody {
                     algo: self.cfg.algo.clone(),
                     shards: self.cfg.shards,
-                    watermark: core.watermark,
+                    watermark: core.decided.watermark(),
                     placed: core.placed,
                     shed: core.shed,
                     rejected: core.rejected,
@@ -655,7 +640,7 @@ impl Service {
                 detail,
             }
         };
-        if core.is_decided(s.job) {
+        if core.decided.contains(s.job) {
             return (
                 reject(
                     core,
@@ -725,7 +710,7 @@ impl Service {
         core.last_arrival = Some(s.arrival);
         // Both outcomes are final decisions: record the id either way so
         // a resumed client never replays them.
-        core.note_id(s.job);
+        core.decided.insert(s.job);
         core.decided_since_ckpt += 1;
         let out = match admission {
             Admission::Placed(bin) => {
@@ -866,8 +851,6 @@ impl Service {
                 .map_err(|_| gone())?;
             sessions.push(resp_rx.recv().map_err(|_| gone())?);
         }
-        let mut above: Vec<u32> = core.above.iter().copied().collect();
-        above.sort_unstable();
         let seq = core.ckpt_seq + 1;
         let ck = ServeCheckpoint {
             seq,
@@ -875,8 +858,8 @@ impl Service {
             router: self.cfg.router.name(),
             fleet_cap: self.cfg.fleet_cap.map(|c| c as u64),
             last_arrival: core.last_arrival,
-            watermark: core.watermark,
-            above,
+            watermark: core.decided.watermark(),
+            above: core.decided.above(),
             placed: core.placed,
             shed: core.shed,
             rejected: core.rejected,

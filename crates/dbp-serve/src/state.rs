@@ -9,9 +9,10 @@
 //! ```
 //!
 //! The manifest records the coordinator state a restart needs — id
-//! watermark + overflow set, stream clock, per-tenant counters, config
-//! fingerprint (algo/router/shards/fleet cap) — and the per-shard lines
-//! reuse [`dbp_resilience::snapshot_to_json`] verbatim, so every
+//! watermark + the sorted ids decided above it, stream clock,
+//! per-tenant counters, config fingerprint (algo/router/shards/fleet
+//! cap) — and the per-shard lines reuse
+//! [`dbp_resilience::snapshot_to_json`] verbatim, so every
 //! bit-identity guarantee the resilience layer proves carries over.
 //!
 //! Files are written to `serve-<seq>.ckpt` via a temp file + rename, so

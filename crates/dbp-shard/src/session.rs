@@ -24,13 +24,12 @@ use crate::router::ShardRouter;
 use dbp_core::observe::{EventLog, OpKind, PackEvent, PackObserver};
 use dbp_core::online::ClairvoyanceMode;
 use dbp_core::stream::StreamingSession;
-use dbp_core::{DbpError, Item, OnlinePacker, Time};
+use dbp_core::{DbpError, IdDedupe, Item, OnlinePacker, Time};
 use dbp_obs::{Counters, CountersSnapshot, MetricsAggregator};
 use dbp_telemetry::{
     reparent_by_seq, stitch, RunMetrics, SpanCollector, SpanRecord, TelemetryRecorder, WorkMetrics,
     NO_SEQ,
 };
-use std::collections::HashSet;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -225,10 +224,8 @@ pub struct ShardedSession {
     pending_items: usize,
     /// The arrival clock (max arrival fed so far).
     last_arrival: Option<Time>,
-    /// Global id dedupe, same watermark + overflow-set scheme as
-    /// [`StreamingSession`].
-    watermark: u32,
-    above: HashSet<u32>,
+    /// Global id dedupe, the same [`IdDedupe`] as [`StreamingSession`].
+    seen: IdDedupe,
     items_routed: u64,
     per_shard_routed: Vec<u64>,
     /// Set when a worker died mid-stream: the shard-annotated cause.
@@ -310,8 +307,7 @@ impl ShardedSession {
             pending: vec![Vec::new(); workers_n],
             pending_items: 0,
             last_arrival: None,
-            watermark: 0,
-            above: HashSet::new(),
+            seen: IdDedupe::new(),
             items_routed: 0,
             per_shard_routed: vec![0; cfg.shards],
             failure: None,
@@ -346,7 +342,9 @@ impl ShardedSession {
                 });
             }
         }
-        self.note_id(item.id().0)?;
+        if !self.seen.insert(item.id().0) {
+            return Err(DbpError::DuplicateItemId { id: item.id().0 });
+        }
         // Timestamp boundary: everything buffered is strictly older than
         // `now`, so the cohort is complete and may be flushed.
         if self.pending_items >= self.cfg.batch && self.last_arrival.is_some_and(|t| now > t) {
@@ -370,18 +368,6 @@ impl ShardedSession {
     /// Items routed so far, total and per shard.
     pub fn routed(&self) -> (u64, &[u64]) {
         (self.items_routed, &self.per_shard_routed)
-    }
-
-    /// Global id dedupe, mirroring the streaming session's
-    /// watermark + overflow-set scheme.
-    fn note_id(&mut self, raw_id: u32) -> Result<(), DbpError> {
-        if raw_id < self.watermark || !self.above.insert(raw_id) {
-            return Err(DbpError::DuplicateItemId { id: raw_id });
-        }
-        while self.watermark < u32::MAX && self.above.remove(&self.watermark) {
-            self.watermark += 1;
-        }
-        Ok(())
     }
 
     /// Fans the buffered cohorts out to their workers. Each flush gets a
